@@ -1,15 +1,14 @@
 package softwatt
 
-// Batch-tick equivalence and clock-skip safety (DESIGN.md §16). The
-// detailed cores run their stage loop inside TickBatch, bounded by the
-// machine's next device/timer/telemetry event, and skip the clock over
-// provably idle stretches. Two end-to-end properties protect that
-// machinery:
+// Batch equivalence and clock-skip safety (DESIGN.md §11, §16). Every
+// core runs inside Core.Run for a budget bounded by the machine's next
+// device/timer/telemetry event, and MXS skips the clock over provably idle
+// stretches. Three end-to-end properties protect that machinery:
 //
 //   - TestTickBatchRunEquivalence: for every workload and both detailed
 //     cores, a batched run serializes byte-for-byte identically to the
-//     per-cycle loop (DisableSkip), down to every sample window and unit
-//     count.
+//     per-cycle reference (DisableSkip: every budget is one cycle), down
+//     to every sample window, unit count and Welford state.
 //
 //   - TestClockSkipSafety: under randomized device latencies and event
 //     periods, the machine never advances past a pending device completion
@@ -17,6 +16,10 @@ package softwatt
 //     shift an interrupt delivery and change the run bytes (checked against
 //     the per-cycle loop); overshooting a telemetry boundary would misalign
 //     the timeline points (checked structurally on all three cores).
+//
+//   - TestCommittedCountsAgree: the machine, the collector and the core
+//     count the same instructions, on every core, with the idle loop
+//     halting or spinning.
 
 import (
 	"bytes"
@@ -32,8 +35,10 @@ import (
 )
 
 // runConfigured boots cfg with the named workload and returns the collected
-// result plus the recorded power timeline.
-func runConfigured(t *testing.T, cfg machine.Config, bench string, disableSkip bool) (*RunResult, []trace.TimelinePoint) {
+// result, the recorded power timeline and the cycles the clock skip
+// elided. Every run also checks that the machine's, the collector's and
+// the core's instruction counts agree.
+func runConfigured(t *testing.T, cfg machine.Config, bench string, disableSkip bool) (*RunResult, []trace.TimelinePoint, uint64) {
 	t.Helper()
 	w, err := workload.Build(bench)
 	if err != nil {
@@ -48,15 +53,20 @@ func runConfigured(t *testing.T, cfg machine.Config, bench string, disableSkip b
 	if err := m.Run(0); err != nil {
 		t.Fatalf("run %s (DisableSkip=%v): %v (console: %q)", bench, disableSkip, err, m.Console())
 	}
+	if col, cc := m.Collector().TotalInsts(), m.CoreCounters().Committed; m.Committed != col || m.Committed != cc {
+		t.Errorf("%s/%s (DisableSkip=%v): committed instructions disagree: machine %d, collector %d, core %d",
+			cfg.Core, bench, disableSkip, m.Committed, col, cc)
+	}
 	r := core.Collect(m, bench, cfg.Core.String())
-	tl := m.Timeline()
+	tl, skipped := m.Timeline(), m.SkippedCycles()
 	m.Release()
-	return r, tl
+	return r, tl, skipped
 }
 
 // TestTickBatchRunEquivalence runs every workload on both detailed cores
-// twice — through the TickBatch run loop and through per-cycle ticking —
-// and requires bit-identical serialized results.
+// twice — with event-bounded budgets and with one-cycle budgets — and
+// requires bit-identical serialized results. On MXS the clock skip must
+// actually fire, or the comparison says nothing about it.
 func TestTickBatchRunEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-run equivalence matrix skipped in -short mode")
@@ -69,13 +79,18 @@ func TestTickBatchRunEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				batched, _ := runConfigured(t, cfg, bench, false)
-				percycle, _ := runConfigured(t, cfg, bench, true)
+				batched, _, skipped := runConfigured(t, cfg, bench, false)
+				percycle, _, _ := runConfigured(t, cfg, bench, true)
+				if coreName == "mxs" && skipped == 0 {
+					t.Fatal("next-event skip elided zero cycles: the equivalence check is vacuous")
+				}
 				bb, pb := resultBytes(t, batched), resultBytes(t, percycle)
 				if !bytes.Equal(bb, pb) {
 					t.Fatalf("batched run diverges from per-cycle: %d vs %d bytes, first difference at byte %d",
 						len(bb), len(pb), firstDiff(bb, pb))
 				}
+				t.Logf("identical %d-byte results; skip elided %d of %d cycles (%.1f%%)",
+					len(bb), skipped, batched.TotalCycles, 100*float64(skipped)/float64(batched.TotalCycles))
 			})
 		}
 	}
@@ -132,17 +147,39 @@ func TestClockSkipSafety(t *testing.T) {
 				cfg.WindowCycles = uint64(5_000 + rng.Intn(35_000))
 				cfg.TimelineCycles = uint64(50_000 + rng.Intn(200_000))
 
-				batched, tl := runConfigured(t, cfg, "compress", false)
+				batched, tl, _ := runConfigured(t, cfg, "compress", false)
 				checkTimeline(t, tl, cfg.WindowCycles)
 				if coreName == "swift" {
 					return // no per-cycle oracle for the batch core
 				}
-				percycle, _ := runConfigured(t, cfg, "compress", true)
+				percycle, _, _ := runConfigured(t, cfg, "compress", true)
 				bb, pb := resultBytes(t, batched), resultBytes(t, percycle)
 				if !bytes.Equal(bb, pb) {
 					t.Fatalf("randomized-latency run diverges from per-cycle: %d vs %d bytes, first difference at byte %d",
 						len(bb), len(pb), firstDiff(bb, pb))
 				}
+			})
+		}
+	}
+}
+
+// TestCommittedCountsAgree runs compress on all three cores with the idle
+// loop halting (WAIT) and spinning. runConfigured requires the machine's
+// committed count, the collector's instruction total and the core's own
+// counter to agree; with the idle loop halting, every interrupt that wakes
+// the core from WAIT must be counted once, in all three.
+func TestCommittedCountsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full runs skipped in -short mode")
+	}
+	for _, coreName := range []string{"mipsy", "mxs", "swift"} {
+		for _, idleHalt := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/idlehalt=%v", coreName, idleHalt), func(t *testing.T) {
+				cfg, err := Options{Core: coreName, IdleHalt: idleHalt}.MachineConfig()
+				if err != nil {
+					t.Fatal(err)
+				}
+				runConfigured(t, cfg, "compress", false)
 			})
 		}
 	}

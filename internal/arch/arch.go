@@ -24,6 +24,15 @@ type Bus interface {
 	WritePhys(paddr uint32, size int, v uint64)
 }
 
+// CycleSync is the machine's exact-time hook. A timing core that runs many
+// cycles per call publishes the current cycle through it before any step
+// that can reach MMIO, so device handlers that read or latch the machine
+// cycle (timer arming, disk submission) see exactly the cycle a per-cycle
+// loop would have shown them. Nil in harnesses without devices.
+type CycleSync interface {
+	SyncCycle(cycle uint64)
+}
+
 // NumTLB is the number of TLB entries (fully associative, unified), per the
 // paper's Table 1.
 const NumTLB = 64

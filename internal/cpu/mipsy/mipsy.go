@@ -24,24 +24,16 @@ const (
 	eretDrainCycles = 5
 )
 
-// CycleSync is the machine's hook for publishing exact device time before
-// an interpreter step inside a batch, so MMIO handlers that read or latch
-// the machine cycle observe exactly what a per-cycle loop would have shown
-// them (the same contract as swift.CycleSync).
-type CycleSync interface {
-	SyncCycle(cycle uint64)
-}
-
 // Core is the in-order timing model.
 type Core struct {
 	cpu  *arch.CPU
 	h    *mem.Hierarchy
 	col  *trace.Collector
-	sync CycleSync // exact-time hook for batched runs (nil outside a machine)
+	sync arch.CycleSync // exact-time hook for MMIO (nil outside a machine)
 
 	busy int // stall cycles remaining before the next instruction
 
-	// skipped counts WAIT-poll cycles elided by TickBatch (telemetry).
+	// skipped counts WAIT-poll cycles elided by Run (telemetry).
 	skipped uint64
 
 	// mscratch is step's fallback metadata buffer for instructions whose
@@ -57,63 +49,46 @@ type Core struct {
 	Committed uint64
 }
 
-// New creates a Mipsy core over the given functional CPU, cache hierarchy
-// and collector.
-func New(cpu *arch.CPU, h *mem.Hierarchy, col *trace.Collector) *Core {
-	return &Core{cpu: cpu, h: h, col: col}
+// New creates a Mipsy core over the given functional CPU, cache hierarchy,
+// collector and exact-time hook.
+func New(cpu *arch.CPU, h *mem.Hierarchy, col *trace.Collector, sync arch.CycleSync) *Core {
+	return &Core{cpu: cpu, h: h, col: col, sync: sync}
 }
 
 // CPU returns the underlying functional core.
 func (c *Core) CPU() *arch.CPU { return c.cpu }
 
-// BindCycleSync installs the machine's exact-time hook, required before
-// TickBatch may execute MMIO-capable instructions. The machine binds
-// itself at core construction; direct harnesses without MMIO may leave it
-// nil.
-func (c *Core) BindCycleSync(s CycleSync) { c.sync = s }
-
-// TakeSkipped returns and clears the cycles TickBatch elided (telemetry).
-func (c *Core) TakeSkipped() uint64 {
-	s := c.skipped
-	c.skipped = 0
-	return s
-}
-
 // Counters implements the machine's telemetry hook. Mipsy has no branch
-// predictor or speculative pipeline, so only Committed moves.
+// predictor or speculative pipeline, so only Committed and Skipped move.
 func (c *Core) Counters() obs.CoreCounters {
-	return obs.CoreCounters{Committed: c.Committed}
+	return obs.CoreCounters{Committed: c.Committed, Skipped: c.skipped}
 }
 
-// Tick advances the pipeline by one cycle, invoking commit when an
-// instruction completes architecturally this cycle.
-//
-// All structure-access counts of one instruction accumulate into a local
-// UnitCounts and flush with a single Collector.AddUnits call just before
-// commit. The attribution context cannot change mid-instruction (commit is
-// what moves it), so the batch lands in exactly the buckets the individual
-// AddUnit calls used to.
-func (c *Core) Tick(cycle uint64, commit func(*arch.StepInfo)) {
-	if c.busy > 0 {
-		c.busy--
-		return
-	}
-	c.busy = c.step(cycle, commit) - 1
-}
+// InvalidateCode implements the machine's DMA hook: the predecode cache,
+// which the machine invalidates itself, is mipsy's only decode cache.
+func (c *Core) InvalidateCode(pa uint32, n int) {}
 
-// TickBatch runs up to budget cycles from cycle start inside the core,
-// charging each instruction's full cost with one AddCycles call instead of
-// one machine round-trip per cycle. Three invariants keep the result
-// bit-identical to per-cycle ticking: the budget is clamped by the machine
-// to the next device/timer/telemetry event, so nothing external can fire
+// Run runs up to budget cycles from cycle start inside the core, charging
+// each instruction's full cost with one AddCycles call, and returns the
+// cycles consumed and the instructions retired. Three invariants keep the
+// result independent of the budgets: the machine clamps the budget to the
+// next device/timer/telemetry event, so nothing external can fire
 // mid-batch; the batch ends after any uncached access, whose MMIO side
 // effects may re-arm those events; and a WAIT poll is pure and idempotent
 // (no architectural decay, COUNT rewritten by the next real step), so once
 // the core reports Waiting the remaining budget is charged without
-// re-polling — the same elision the event-core clock skip performs.
-func (c *Core) TickBatch(start, budget uint64, commit func(*arch.StepInfo)) uint64 {
+// re-polling. At budget 1 a call is exactly one pipeline cycle: the
+// per-cycle reference.
+//
+// All structure-access counts of one instruction accumulate into a local
+// UnitCounts and flush with a single Collector.AddUnits call just before
+// commit. The attribution context cannot change mid-instruction (commit is
+// what moves it), so the batch lands in exactly the buckets individual
+// AddUnit calls would have used.
+func (c *Core) Run(start, budget uint64, commit func(*arch.StepInfo)) (ran, retired uint64) {
 	end := start + budget
 	cyc := start
+	before := c.Committed
 	if c.busy > 0 {
 		// Finish the stall carried over from the previous batch.
 		n := uint64(c.busy)
@@ -139,9 +114,9 @@ func (c *Core) TickBatch(start, budget uint64, commit func(*arch.StepInfo)) uint
 		if info.Mem != arch.MemNone && info.MemUncached {
 			// The MMIO side effects may have re-armed device events due
 			// within this instruction's stall, and a halting store must not
-			// charge its residual stall at all (the per-cycle loop exits at
-			// the halt with busy unconsumed) — so charge only the executed
-			// cycle, park the stall in busy, and end the batch.
+			// charge its residual stall at all (the machine stops at the
+			// halt) — so charge only the executed cycle, park the stall in
+			// busy, and end the batch.
 			c.busy = int(cost) - 1
 			c.col.AddCycle()
 			cyc++
@@ -157,12 +132,12 @@ func (c *Core) TickBatch(start, budget uint64, commit func(*arch.StepInfo)) uint
 			break
 		}
 	}
-	return cyc - start
+	return cyc - start, c.Committed - before
 }
 
 // step executes one instruction starting at cycle and returns its total
-// cost in cycles (>= 1). Shared by Tick (which spreads the cost over busy
-// cycles) and TickBatch (which charges it in one AddCycles call).
+// cost in cycles (>= 1); Run charges it and carries any part beyond the
+// budget over in busy.
 func (c *Core) step(cycle uint64, commit func(*arch.StepInfo)) int {
 	c.cpu.StepInto(cycle, &c.scratch)
 	info := &c.scratch

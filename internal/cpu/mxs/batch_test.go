@@ -1,9 +1,9 @@
 package mxs
 
-// TickBatch lockstep coverage for the pipeline's rare control states:
-// entering and leaving sleep (WAIT, then an interrupt wake) and halting
-// must behave identically whether the core is ticked one cycle at a time
-// or driven through TickBatch with arbitrary budgets. The scan-based
+// Run lockstep coverage for the pipeline's rare control states: entering
+// and leaving sleep (WAIT, then an interrupt wake) and halting must behave
+// identically whether the core is ticked one cycle at a time or driven
+// through Run with arbitrary budgets. The scan-based
 // refCore from refsched_test.go is the per-cycle oracle. Both drivers
 // mirror the machine's contract that external events (IRQ assert, HALT)
 // change only at batch boundaries: the batch driver clamps its randomized
@@ -55,6 +55,7 @@ type batchRecorder struct {
 	polls int
 	irqs  int
 	done  bool
+	insts uint64 // collector instruction count when BREAK committed
 }
 
 // commit returns the recording callback. The commit cycle is read from the
@@ -76,12 +77,13 @@ func (r *batchRecorder) commit(col *trace.Collector) func(*arch.StepInfo) {
 		r.recs = append(r.recs, commitRec{col.TotalCycles(), info.PC, info.NextPC, info.TookException, uint8(info.ExcCode)})
 		if info.TookException && info.ExcCode == isa.ExcBreak {
 			r.done = true
+			r.insts = col.TotalInsts()
 		}
 	}
 }
 
-// runBatched drives the event core through TickBatch with randomized
-// budgets. The collector cycle charging happens inside TickBatch itself.
+// runBatched drives the event core through Run with randomized budgets.
+// The collector cycle charging happens inside Run itself.
 func runBatched(tb testing.TB, c *Core, cpu *arch.CPU, rng *rand.Rand, ev batchEvents, maxCycles uint64) (*batchRecorder, uint64) {
 	tb.Helper()
 	rec := &batchRecorder{}
@@ -90,7 +92,7 @@ func runBatched(tb testing.TB, c *Core, cpu *arch.CPU, rng *rand.Rand, ev batchE
 	for !rec.done && !c.halted && cyc < maxCycles {
 		ev.inject(cpu, cyc)
 		budget := ev.clamp(cyc, uint64(1+rng.Intn(40)))
-		ran := c.TickBatch(cyc, budget, commit)
+		ran, _ := c.Run(cyc, budget, commit)
 		if ran == 0 {
 			break
 		}
@@ -108,8 +110,7 @@ func runPerCycle(tb testing.TB, c *refCore, cpu *arch.CPU, ev batchEvents, maxCy
 	var cyc uint64
 	for ; !rec.done && !c.halted && cyc < maxCycles; cyc++ {
 		ev.inject(cpu, cyc)
-		c.Tick(cyc, commit)
-		c.col.AddCycle()
+		c.tick(cyc, commit)
 	}
 	return rec, cyc
 }
@@ -159,7 +160,7 @@ func TestTickBatchSleepWake(t *testing.T) {
 			ev := batchEvents{irqAt: 500 + uint64(rng.Intn(300))}
 
 			bus1, cpu1, col1, h1 := buildSys(t, sleepWakeProgram)
-			core := New(cpu1, h1, col1, bus1, DefaultConfig())
+			core := New(cpu1, h1, col1, bus1, nil, DefaultConfig())
 			evRec, evCyc := runBatched(t, core, cpu1, rng, ev, 100_000)
 
 			bus2, cpu2, col2, h2 := buildSys(t, sleepWakeProgram)
@@ -181,6 +182,12 @@ func TestTickBatchSleepWake(t *testing.T) {
 			// slept for the same simulated interval, which the identical
 			// commit cycles below enforce.
 			compareStreams(t, evRec, refRec)
+			// Every recorded commit, the waking interrupt dispatch
+			// included, reaches the collector's instruction count.
+			if n := uint64(len(refRec.recs)); evRec.insts != n || refRec.insts != n {
+				t.Errorf("instructions at BREAK: batch=%d per-cycle=%d, want %d",
+					evRec.insts, refRec.insts, n)
+			}
 		})
 	}
 }
@@ -197,7 +204,7 @@ func TestTickBatchHalt(t *testing.T) {
 			ev := batchEvents{haltAt: 200 + uint64(rng.Intn(800))}
 
 			bus1, cpu1, col1, h1 := buildSys(t, src)
-			core := New(cpu1, h1, col1, bus1, DefaultConfig())
+			core := New(cpu1, h1, col1, bus1, nil, DefaultConfig())
 			evRec, evCyc := runBatched(t, core, cpu1, rng, ev, 1_000_000)
 
 			bus2, cpu2, col2, h2 := buildSys(t, src)

@@ -9,7 +9,7 @@ package mxs
 // storing the backing array preserves the heap invariant exactly, so the
 // restored core pops events in the identical order. Wiring (cpu, h, col,
 // bus, config, index masks) is reconstructed by New and never serialised;
-// scratch only lives inside a single Tick.
+// scratch only lives inside a single cycle.
 
 import (
 	"softwatt/internal/arch"

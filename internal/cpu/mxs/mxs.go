@@ -170,11 +170,11 @@ type Core struct {
 	h   *mem.Hierarchy
 	col *trace.Collector
 	bus arch.Bus // wrong-path instruction reads
-	// sync publishes exact device time before each batched cycle, so MMIO
-	// reached from fetch (uncached loads/stores execute functionally at
-	// dispatch) sees what a per-cycle loop would have shown it. Bound from
-	// the bus when the bus is the machine; nil in direct harnesses.
-	sync cycleSync
+	// sync publishes exact device time before each cycle Run executes, so
+	// MMIO reached from fetch (uncached loads/stores execute functionally
+	// at dispatch) sees what a per-cycle loop would have shown it. Nil in
+	// direct harnesses.
+	sync arch.CycleSync
 
 	rob   []robEnt
 	head  int
@@ -230,9 +230,9 @@ type Core struct {
 
 	// sawUncached marks that fetch dispatched an uncached access this
 	// cycle: its MMIO side effects may have re-armed device events, so
-	// TickBatch must end the batch and let the machine re-clamp.
+	// Run must end the batch and let the machine re-clamp.
 	sawUncached bool
-	// skipped counts cycles elided by TickBatch's internal clock skip.
+	// skipped counts cycles elided by Run's internal clock skip.
 	skipped uint64
 
 	// Statistics.
@@ -260,14 +260,16 @@ type Core struct {
 }
 
 // New creates an MXS core. bus is the physical address space used for
-// wrong-path instruction reads (normally the same bus the CPU sees).
-func New(cpu *arch.CPU, h *mem.Hierarchy, col *trace.Collector, bus arch.Bus, cfg Config) *Core {
+// wrong-path instruction reads (normally the same bus the CPU sees); sync
+// is the machine's exact-time hook.
+func New(cpu *arch.CPU, h *mem.Hierarchy, col *trace.Collector, bus arch.Bus, sync arch.CycleSync, cfg Config) *Core {
 	c := &Core{
 		cfg:    cfg,
 		cpu:    cpu,
 		h:      h,
 		col:    col,
 		bus:    bus,
+		sync:   sync,
 		rob:    make([]robEnt, cfg.WindowSize),
 		ready:  newSlotBits(cfg.WindowSize),
 		stores: newSlotBits(cfg.WindowSize),
@@ -291,7 +293,6 @@ func New(cpu *arch.CPU, h *mem.Hierarchy, col *trace.Collector, bus arch.Bus, cf
 	c.fetchPC = cpu.PC
 	c.nextSeq = 1
 	c.headSeq = 1
-	c.sync, _ = bus.(cycleSync)
 	// The collector pulls the batched unit counts whenever attribution
 	// placement matters (context move, window flush, totals read), so the
 	// hot path never flushes eagerly.
@@ -312,8 +313,13 @@ func (c *Core) Counters() obs.CoreCounters {
 		WrongPath:   c.Bogus,
 		WindowOcc:   uint64(c.count),
 		ReadyDepth:  uint64(c.ready.count()),
+		Skipped:     c.skipped,
 	}
 }
+
+// InvalidateCode implements the machine's DMA hook: the predecode cache,
+// which the machine invalidates itself, is MXS's only decode cache.
+func (c *Core) InvalidateCode(pa uint32, n int) {}
 
 func (c *Core) at(i int) *robEnt {
 	s := c.head + i
@@ -323,36 +329,21 @@ func (c *Core) at(i int) *robEnt {
 	return &c.rob[s]
 }
 
-// cycleSync mirrors swift.CycleSync: SyncCycle publishes the exact current
-// cycle to the machine before steps that can reach MMIO.
-type cycleSync interface {
-	SyncCycle(cycle uint64)
-}
-
-// Tick advances one cycle.
-func (c *Core) Tick(cycle uint64, commit func(*arch.StepInfo)) {
-	if c.halted {
-		return
-	}
-	c.writeback(cycle)
-	c.commitStage(cycle, commit)
-	c.issue(cycle)
-	c.fetch(cycle, commit)
-}
-
-// TickBatch runs up to budget cycles from cycle start inside the core,
-// charging each executed cycle to the collector itself and letting the
-// next-event clock skip (NextEvent) fire without a machine round-trip.
-// The machine clamps the budget to its next device/timer/telemetry event,
-// so the only way device state can change mid-batch is an uncached access
-// dispatched by fetch — sawUncached ends the batch there so the machine
-// re-clamps. Results are bit-identical to per-cycle ticking: the stage
-// order, collector call sequence, and skip accounting are exactly those of
-// runCycles, and SyncCycle keeps the machine's notion of time exact for
-// every cycle that executes.
-func (c *Core) TickBatch(start, budget uint64, commit func(*arch.StepInfo)) uint64 {
+// Run runs up to budget cycles from cycle start inside the core, charging
+// each executed cycle to the collector itself and letting the next-event
+// clock skip (NextEvent) fire without a machine round-trip. It returns the
+// cycles consumed and the instructions retired. The machine clamps the
+// budget to its next device/timer/telemetry event, so the only way device
+// state can change mid-batch is an uncached access dispatched by fetch —
+// sawUncached ends the batch there so the machine re-clamps. The skip only
+// elides cycles on which no stage could act, and SyncCycle keeps the
+// machine's notion of time exact for every cycle that executes, so results
+// do not depend on the budgets: at budget 1 a call is exactly one pipeline
+// cycle with no skip, the per-cycle reference.
+func (c *Core) Run(start, budget uint64, commit func(*arch.StepInfo)) (ran, retired uint64) {
 	end := start + budget
 	cyc := start
+	before := c.Committed
 	for cyc < end && !c.halted {
 		if c.sync != nil {
 			c.sync.SyncCycle(cyc)
@@ -381,22 +372,15 @@ func (c *Core) TickBatch(start, budget uint64, commit func(*arch.StepInfo)) uint
 			cyc = target
 		}
 	}
-	return cyc - start
-}
-
-// TakeSkipped returns and clears the cycles TickBatch elided (telemetry).
-func (c *Core) TakeSkipped() uint64 {
-	s := c.skipped
-	c.skipped = 0
-	return s
+	return cyc - start, c.Committed - before
 }
 
 // NextEvent reports the earliest cycle >= cycle at which the core can make
 // progress: `cycle` itself when commit, issue, or fetch has work now,
 // otherwise the nearest completion/issue-eligibility/fetch-restart event,
 // or never when the core is fully idle (sleeping with an empty window).
-// The machine's run loop uses this to skip the clock over guaranteed
-// no-op cycles (DESIGN.md §11).
+// Run uses this to skip the clock over guaranteed no-op cycles (DESIGN.md
+// §11).
 func (c *Core) NextEvent(cycle uint64) uint64 {
 	if c.halted {
 		return never
@@ -424,10 +408,6 @@ func (c *Core) NextEvent(cycle uint64) uint64 {
 	}
 	return next
 }
-
-// Idle reports deep sleep: WAIT committed and the window fully drained.
-// Nothing can happen until an external interrupt.
-func (c *Core) Idle() bool { return c.sleep && c.count == 0 && !c.halted }
 
 // peekComp returns the earliest live completion event, lazily discarding
 // references whose entries were squashed since they issued.
@@ -851,13 +831,18 @@ func (c *Core) fetch(cycle uint64, commit func(*arch.StepInfo)) {
 		}
 		c.cpu.StepInto(cycle, &c.scratch)
 		info := &c.scratch
+		if !info.Waiting && !info.Halted {
+			c.Committed++
+			c.col.AddInst(1)
+		}
 		commit(info)
 		if info.Halted {
 			c.halted = true
 			return
 		}
 		if !info.Waiting {
-			// Woken by an interrupt: info is the interrupt dispatch.
+			// Woken by an interrupt: info is the interrupt dispatch,
+			// counted like any other non-WAIT commit.
 			c.sleep = false
 			c.fetchPC = c.cpu.PC
 			c.wrongPath = false

@@ -33,7 +33,7 @@ func build(t *testing.T, src string, cfg Config) (*Core, *arch.CPU, *trace.Colle
 	bus := ramBus{ram}
 	cpu := arch.New(bus)
 	col := trace.NewCollector(1_000_000)
-	core := New(cpu, mem.NewHierarchy(mem.DefaultHierConfig()), col, bus, cfg)
+	core := New(cpu, mem.NewHierarchy(mem.DefaultHierConfig()), col, bus, nil, cfg)
 	return core, cpu, col
 }
 
@@ -48,7 +48,7 @@ func runUntilBreak(t *testing.T, c *Core, maxCycles uint64) uint64 {
 		}
 	}
 	for cyc = 0; cyc < maxCycles && !done; cyc++ {
-		c.Tick(cyc, commit)
+		c.Run(cyc, 1, commit)
 	}
 	if !done {
 		t.Fatalf("no break within %d cycles (pc=%08x, count=%d)", maxCycles, c.cpu.PC, c.count)

@@ -129,6 +129,16 @@ func (c *refCore) Tick(cycle uint64, commit func(*arch.StepInfo)) {
 	c.flushUnits()
 }
 
+// tick is one per-cycle step as the machine's reference loop takes it:
+// Tick, then charge the cycle.
+func (c *refCore) tick(cycle uint64, commit func(*arch.StepInfo)) {
+	c.Tick(cycle, commit)
+	c.col.AddCycle()
+}
+
+// tick is one Run at budget 1: a single pipeline cycle, skip disabled.
+func (c *Core) tick(cycle uint64, commit func(*arch.StepInfo)) { c.Run(cycle, 1, commit) }
+
 func (c *refCore) addUnit(u trace.Unit, n uint64) {
 	c.pend[u] += n
 	c.pendDirty = true
@@ -347,6 +357,10 @@ func (c *refCore) fetch(cycle uint64, commit func(*arch.StepInfo)) {
 		c.flushUnits()
 		c.scratch = c.cpu.Step(cycle)
 		info := &c.scratch
+		if !info.Waiting && !info.Halted {
+			c.Committed++ // the waking interrupt dispatch
+			c.col.AddInst(1)
+		}
 		commit(info)
 		if info.Halted {
 			c.halted = true
@@ -642,7 +656,7 @@ type commitRec struct {
 }
 
 // runCommits ticks a core until a BREAK commits, recording the commit
-// stream. Both Core and refCore share the Tick signature.
+// stream. tick advances one cycle and charges it to the collector.
 func runCommits(tb testing.TB, tick func(uint64, func(*arch.StepInfo)), maxCycles uint64) ([]commitRec, uint64) {
 	tb.Helper()
 	var recs []commitRec
@@ -749,12 +763,12 @@ func TestSchedulerLockstepEquivalence(t *testing.T) {
 				src := randomProgram(rng, 100+rng.Intn(100))
 
 				bus1, cpu1, col1, h1 := buildSys(t, src)
-				ev := New(cpu1, h1, col1, bus1, cfg)
-				evRecs, evCyc := runCommits(t, ev.Tick, 2_000_000)
+				ev := New(cpu1, h1, col1, bus1, nil, cfg)
+				evRecs, evCyc := runCommits(t, ev.tick, 2_000_000)
 
 				bus2, cpu2, col2, h2 := buildSys(t, src)
 				ref := newRefCore(cpu2, h2, col2, bus2, cfg)
-				refRecs, refCyc := runCommits(t, ref.Tick, 2_000_000)
+				refRecs, refCyc := runCommits(t, ref.tick, 2_000_000)
 
 				if evCyc != refCyc {
 					t.Errorf("total cycles: event=%d ref=%d", evCyc, refCyc)
@@ -845,8 +859,8 @@ func benchBoth(b *testing.B, src string) {
 		var cycles uint64
 		for i := 0; i < b.N; i++ {
 			bus, cpu, col, h := buildSys(b, src)
-			c := New(cpu, h, col, bus, DefaultConfig())
-			cycles += benchCycles(b, c.Tick)
+			c := New(cpu, h, col, bus, nil, DefaultConfig())
+			cycles += benchCycles(b, c.tick)
 		}
 		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
 	})
@@ -855,7 +869,7 @@ func benchBoth(b *testing.B, src string) {
 		for i := 0; i < b.N; i++ {
 			bus, cpu, col, h := buildSys(b, src)
 			c := newRefCore(cpu, h, col, bus, DefaultConfig())
-			cycles += benchCycles(b, c.Tick)
+			cycles += benchCycles(b, c.tick)
 		}
 		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
 	})

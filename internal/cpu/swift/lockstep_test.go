@@ -24,6 +24,7 @@ import (
 	"softwatt/internal/arch"
 	"softwatt/internal/isa"
 	"softwatt/internal/mem"
+	"softwatt/internal/trace"
 )
 
 // flatBus adapts mem.RAM to arch.Bus with no MMIO: out-of-range reads
@@ -32,11 +33,6 @@ type flatBus struct{ ram *mem.RAM }
 
 func (b flatBus) ReadPhys(pa uint32, size int) uint64     { return b.ram.Read(pa, size) }
 func (b flatBus) WritePhys(pa uint32, size int, v uint64) { b.ram.Write(pa, size, v) }
-
-// nopSync discards cycle publications: there are no devices to observe.
-type nopSync struct{}
-
-func (nopSync) SyncCycle(uint64) {}
 
 const (
 	lsRAMBytes = 1 << 20 // flat physical memory per side
@@ -186,14 +182,14 @@ func TestLockstepRandomPrograms(t *testing.T) {
 				code := lsProgram(rand.New(rand.NewSource(seed)))
 				fastSide := lsSetup(code, rand.New(rand.NewSource(seed*977)))
 				refSide := lsSetup(code, rand.New(rand.NewSource(seed*977)))
-				core := New(fastSide.cpu, fastSide.ram, nopSync{}, lsRAMBytes)
+				core := New(fastSide.cpu, fastSide.ram, trace.NewCollector(1_000_000), nil, lsRAMBytes)
 
 				var info arch.StepInfo
 				retired := uint64(0)
 				for cycle := uint64(0); cycle < lsSteps; cycle++ {
-					ran, n := core.RunBatch(cycle, 1)
+					ran, n := core.Run(cycle, 1, nil)
 					if ran != 1 {
-						t.Fatalf("cycle %d: RunBatch consumed %d cycles, want 1", cycle, ran)
+						t.Fatalf("cycle %d: Run consumed %d cycles, want 1", cycle, ran)
 					}
 					retired += n
 					refSide.cpu.StepInto(cycle, &info)

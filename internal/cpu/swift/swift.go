@@ -36,15 +36,8 @@ import (
 	"softwatt/internal/isa"
 	"softwatt/internal/mem"
 	"softwatt/internal/obs"
+	"softwatt/internal/trace"
 )
-
-// CycleSync lets the core publish the exact current cycle to the machine
-// before delegating to the interpreter, so MMIO side effects observed
-// during a slow step (timer interval arming, disk submission times) read
-// the same cycle they would under per-cycle ticking.
-type CycleSync interface {
-	SyncCycle(cycle uint64)
-}
 
 const (
 	// sbCount is the direct-mapped superblock cache size (entries).
@@ -90,14 +83,19 @@ type Stats struct {
 	SlowSteps     uint64 // instructions delegated to arch.StepInto
 }
 
-// Core is the fast-forward execution engine. It implements the machine's
-// Core interface (Counters for telemetry) plus the batch interface
-// (RunBatch, InvalidateCode) the machine's batched run loop drives.
+// Core is the fast-forward execution engine: a machine core that passes no
+// commits. Run charges whole batches to the collector, so fast-forward
+// runs report functional results and totals, not per-mode power.
 type Core struct {
-	cpu  *arch.CPU
-	ram  *mem.RAM
-	mem  []byte
-	sync CycleSync
+	cpu *arch.CPU
+	ram *mem.RAM
+	mem []byte
+	col *trace.Collector
+	// sync publishes the exact cycle before every interpreter-delegated
+	// step, so MMIO side effects observed during a slow step (timer
+	// arming, disk submission times) read the cycle a per-cycle loop
+	// would have shown them. Nil in harnesses without devices.
+	sync arch.CycleSync
 
 	// limit bounds the direct RAM fast path: page-aligned, below the MMIO
 	// window and the end of memory, mirroring the predecode limit.
@@ -135,7 +133,7 @@ type Core struct {
 // New builds a fast-forward core over the shared functional CPU. limit is
 // the machine's predecode limit (RAM below the MMIO window): the region
 // where loads, stores, and instruction fetches may bypass the bus.
-func New(cpu *arch.CPU, ram *mem.RAM, sync CycleSync, limit uint32) *Core {
+func New(cpu *arch.CPU, ram *mem.RAM, col *trace.Collector, sync arch.CycleSync, limit uint32) *Core {
 	if uint64(limit) > uint64(ram.Size()) {
 		limit = uint32(ram.Size())
 	}
@@ -145,6 +143,7 @@ func New(cpu *arch.CPU, ram *mem.RAM, sync CycleSync, limit uint32) *Core {
 		cpu:      cpu,
 		ram:      ram,
 		mem:      ram.Bytes(),
+		col:      col,
 		sync:     sync,
 		limit:    limit,
 		blocks:   make([]sblock, sbCount),
@@ -236,13 +235,6 @@ func (c *Core) Counters() obs.CoreCounters {
 	}
 }
 
-// Tick implements the machine Core interface for completeness; the
-// machine drives batch cores through RunBatch instead. commit is ignored:
-// the fast path maintains no StepInfo.
-func (c *Core) Tick(cycle uint64, commit func(*arch.StepInfo)) {
-	c.RunBatch(cycle, 1)
-}
-
 // InvalidateCode drops every superblock overlapping [pa, pa+n): the DMA
 // path, where device writes land in RAM behind the store fast path.
 func (c *Core) InvalidateCode(pa uint32, n int) {
@@ -286,14 +278,17 @@ func (c *Core) noteStore(pa uint32, size int) bool {
 	return true
 }
 
-// RunBatch executes up to budget cycles starting at cycle start and
-// returns the cycles consumed (ran) and instructions retired (excluding
-// WAIT idling, matching mipsy's committed-instruction accounting). It
-// consumes at least one cycle when budget >= 1 and the CPU is not halted.
-// The batch ends early after any uncached (MMIO) access or halt so the
-// machine re-evaluates device timing; interrupt and WAIT state are
-// checked exactly where per-cycle stepping would check them.
-func (c *Core) RunBatch(start, budget uint64) (ran, retired uint64) {
+// Run executes up to budget cycles starting at cycle start and returns
+// the cycles consumed (ran) and instructions retired (excluding WAIT
+// idling, matching mipsy's committed-instruction accounting), charging
+// both to the collector at batch end (AddCycles splits at sample-window
+// boundaries, so window accounting stays exact). commit is never called:
+// the fast path maintains no StepInfo. Run consumes at least one cycle
+// when budget >= 1 and the CPU is not halted. The batch ends early after
+// any uncached (MMIO) access or halt so the machine re-evaluates device
+// timing; interrupt and WAIT state are checked exactly where per-cycle
+// stepping would check them.
+func (c *Core) Run(start, budget uint64, _ func(*arch.StepInfo)) (ran, retired uint64) {
 	cpu := c.cpu
 	for ran < budget {
 		if cpu.Halted {
@@ -361,6 +356,8 @@ func (c *Core) RunBatch(start, budget uint64) (ran, retired uint64) {
 		}
 	}
 	c.committed += retired
+	c.col.AddCycles(ran)
+	c.col.AddInst(retired)
 	return ran, retired
 }
 
@@ -370,7 +367,9 @@ func (c *Core) RunBatch(start, budget uint64) (ran, retired uint64) {
 // machine timing) or halt — and counted=false for WAIT idling and
 // halted steps, mirroring the timing models' commit accounting.
 func (c *Core) slowStep(cycle uint64) (stop, counted bool) {
-	c.sync.SyncCycle(cycle)
+	if c.sync != nil {
+		c.sync.SyncCycle(cycle)
+	}
 	info := &c.scratch
 	c.cpu.StepInto(cycle, info)
 	c.stats.SlowSteps++

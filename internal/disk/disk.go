@@ -331,6 +331,14 @@ func (d *Disk) IRQPending() bool { return d.irqPending }
 // AckIRQ clears the completion interrupt.
 func (d *Disk) AckIRQ() { d.irqPending = false }
 
+// Pending returns the in-flight request, if any.
+func (d *Disk) Pending() (Request, bool) {
+	if d.pending == nil {
+		return Request{}, false
+	}
+	return *d.pending, true
+}
+
 // Stats returns a copy of the accumulated statistics.
 func (d *Disk) Stats() Stats { return d.stats }
 

@@ -56,7 +56,7 @@ func (m *Machine) Checkpoint() []byte {
 	w.U64(m.cycle)
 	w.Bool(m.halted)
 	w.U32(m.exitCode)
-	w.U64(m.skipped)
+	w.U64(m.SkippedCycles())
 	w.U64(m.Committed)
 
 	w.Blob(m.console.Bytes())
@@ -178,6 +178,11 @@ func (m *Machine) RestoreState(data []byte) error {
 	m.dsk.DecodeState(r)
 	if err := r.Err(); err != nil {
 		return err
+	}
+	if req, ok := m.dsk.Pending(); ok {
+		if err := m.checkDMA(req); err != nil {
+			return fmt.Errorf("machine: checkpoint's pending %v", err)
+		}
 	}
 
 	// Rebuild the core over the restored CPU: construction-time state

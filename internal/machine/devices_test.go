@@ -1,8 +1,14 @@
 package machine
 
 import (
+	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
+	"softwatt/internal/disk"
+	"softwatt/internal/isa"
+	"softwatt/internal/kern"
 	"softwatt/internal/trace"
 )
 
@@ -115,6 +121,89 @@ loop:   b loop
 	}
 	if m.Halted() {
 		t.Fatal("machine claims to have halted")
+	}
+}
+
+// submitDiskRead programs the disk controller's registers for a one-sector
+// read into dma and issues the command, as the kernel driver does.
+func submitDiskRead(m *Machine, dma uint32) {
+	m.WritePhys(kern.DiskSector, 4, 0)
+	m.WritePhys(kern.DiskCount, 4, 1)
+	m.WritePhys(kern.DiskDMA, 4, uint64(dma))
+	m.WritePhys(kern.DiskCmd, 4, kern.DiskCmdRead)
+}
+
+// TestDiskDMAOutOfRAMRejected: a DMA address past the end of RAM (here one
+// whose 32-bit end wraps) must fail at submission through the hardware
+// error path — console message plus disk IRQ — instead of being accepted
+// and slicing outside RAM when the transfer completes.
+func TestDiskDMAOutOfRAMRejected(t *testing.T) {
+	cfg := testConfig(CoreMipsy)
+	ramEnd := uint32(cfg.RAMBytes)
+	for _, tc := range []struct {
+		dma uint32
+		ok  bool
+	}{
+		{0x0010_0000, true},
+		{ramEnd - disk.SectorSize, true},
+		{ramEnd - disk.SectorSize + 1, false},
+		{0xFFFF_F000, false},
+	} {
+		m, err := New(cfg, buildWorkload(t, "hello", helloSrc, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitDiskRead(m, tc.dma)
+		if m.Disk().Busy() != tc.ok {
+			t.Errorf("dma %#x: disk busy=%v, want %v", tc.dma, m.Disk().Busy(), tc.ok)
+		}
+		if tc.ok {
+			// Complete the transfer: it must land inside RAM.
+			m.Disk().Advance(m.Disk().NextEvent())
+			continue
+		}
+		if !strings.Contains(m.Console(), "[disk error") {
+			t.Errorf("dma %#x: no disk error on the console: %q", tc.dma, m.Console())
+		}
+		if m.CPU().IP&(1<<isa.IntDisk) == 0 {
+			t.Errorf("dma %#x: disk IRQ not raised", tc.dma)
+		}
+	}
+}
+
+// TestRestoreRejectsPendingDMAOutOfRAM: a checkpoint whose in-flight disk
+// request would DMA outside RAM is refused at restore, not resumed into a
+// host panic at the request's completion.
+func TestRestoreRejectsPendingDMAOutOfRAM(t *testing.T) {
+	cfg := testConfig(CoreMipsy)
+	w := buildWorkload(t, "hello", helloSrc, nil)
+	m, err := New(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dma = 0x0345_6000
+	submitDiskRead(m, dma)
+	if !m.Disk().Busy() {
+		t.Fatalf("valid request not accepted: %q", m.Console())
+	}
+	data := m.Checkpoint()
+
+	// The DMA address appears twice: the latched controller register and
+	// the pending request. Point both past the end of RAM.
+	var old, bad [4]byte
+	binary.LittleEndian.PutUint32(old[:], dma)
+	binary.LittleEndian.PutUint32(bad[:], 0xFFFF_F000)
+	if n := bytes.Count(data, old[:]); n != 2 {
+		t.Fatalf("DMA address occurs %d times in the checkpoint, want 2", n)
+	}
+	data = bytes.ReplaceAll(data, old[:], bad[:])
+
+	fresh, err := New(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.RestoreState(data); err == nil || !strings.Contains(err.Error(), "DMA") {
+		t.Fatalf("restore of out-of-RAM pending DMA: err = %v, want a DMA range error", err)
 	}
 }
 

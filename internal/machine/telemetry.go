@@ -10,7 +10,7 @@ package machine
 // the disk's activity statistics — so publication never perturbs
 // architected state and the golden byte-identity contract (DESIGN.md §9)
 // holds with telemetry on. With metrics disabled the only residue is one
-// always-false comparison per cycle in Run (obsNext stays at MaxUint64).
+// always-false comparison per core call in Run (obsNext stays at MaxUint64).
 
 import (
 	"softwatt/internal/disk"
@@ -182,8 +182,9 @@ func (m *Machine) publishObs() {
 	t.sbInval.Add(cc.SBInvalidations - t.lastCore.SBInvalidations)
 	t.slowSteps.Add(cc.SlowSteps - t.lastCore.SlowSteps)
 	t.lastCore = cc
-	t.skipCycles.Add(m.skipped - t.lastSkipped)
-	t.lastSkipped = m.skipped
+	skipped := m.SkippedCycles()
+	t.skipCycles.Add(skipped - t.lastSkipped)
+	t.lastSkipped = skipped
 	if t.oooCore {
 		t.windowOcc.Observe(float64(cc.WindowOcc))
 		t.readyDepth.Observe(float64(cc.ReadyDepth))

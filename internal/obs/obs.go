@@ -66,4 +66,7 @@ type CoreCounters struct {
 	// SlowSteps counts instructions the fast-forward core delegated to
 	// the exact interpreter (swift core only).
 	SlowSteps uint64
+	// Skipped counts cycles the core's next-event clock skip elided since
+	// the core was built (detailed cores only).
+	Skipped uint64
 }
